@@ -513,24 +513,31 @@ fn scan_records(buf: &[u8]) -> RecordScan<'_> {
 }
 
 /// Fixed prefix of a WAL segment record:
-/// `house u64 | start i64 | interval i64 | count u64 | bits u8`.
+/// `house u64 | start i64 | interval i64 | count u64 | bits u8`, followed
+/// by the packed symbols and — only for a non-zero separator epoch — a
+/// trailing `epoch u32`. The packed length is fixed by `count × bits`, so
+/// the optional tail is unambiguous and epoch-0 records keep the original
+/// byte layout.
 const WAL_SEG_FIXED: usize = 8 + 8 + 8 + 8 + 1;
 
-fn encode_segment_record(house: u64, series: &SymbolicSeries) -> Vec<u8> {
+fn encode_segment_record(house: u64, epoch: u32, series: &SymbolicSeries) -> Vec<u8> {
     let ts = series.timestamps();
     let interval = if ts.len() >= 2 { ts[1] - ts[0] } else { 0 };
     let packed = series.pack_symbols();
-    let mut payload = Vec::with_capacity(WAL_SEG_FIXED + packed.len());
+    let mut payload = Vec::with_capacity(WAL_SEG_FIXED + packed.len() + 4);
     payload.extend_from_slice(&house.to_le_bytes());
     payload.extend_from_slice(&ts[0].to_le_bytes());
     payload.extend_from_slice(&interval.to_le_bytes());
     payload.extend_from_slice(&(series.len() as u64).to_le_bytes());
     payload.push(series.resolution_bits());
     payload.extend_from_slice(&packed);
+    if epoch != 0 {
+        payload.extend_from_slice(&epoch.to_le_bytes());
+    }
     payload
 }
 
-fn decode_segment_record(payload: &[u8]) -> Result<(u64, SymbolicSeries)> {
+fn decode_segment_record(payload: &[u8]) -> Result<(u64, u32, SymbolicSeries)> {
     if payload.len() < WAL_SEG_FIXED {
         return Err(Error::Io(format!("WAL record of {} bytes is too short", payload.len())));
     }
@@ -545,16 +552,20 @@ fn decode_segment_record(payload: &[u8]) -> Result<(u64, SymbolicSeries)> {
         .checked_mul(bits as usize)
         .map(|b| b.div_ceil(8))
         .ok_or_else(|| Error::Io("WAL record payload size overflows".to_string()))?;
-    if payload.len() - WAL_SEG_FIXED != expect {
-        return Err(Error::Io(format!(
-            "WAL record holds {} payload bytes, {count} symbols at {bits} bits need {expect}",
-            payload.len() - WAL_SEG_FIXED
-        )));
-    }
-    let series =
-        SymbolicSeries::unpack_symbols(&payload[WAL_SEG_FIXED..], bits, count, start, interval)
-            .map_err(|e| Error::Io(format!("WAL record decode: {e}")))?;
-    Ok((house, series))
+    let body = &payload[WAL_SEG_FIXED..];
+    let epoch = match body.len().checked_sub(expect) {
+        Some(0) => 0,
+        Some(4) => u32::from_le_bytes(body[expect..].try_into().expect("4 bytes")),
+        _ => {
+            return Err(Error::Io(format!(
+                "WAL record holds {} payload bytes, {count} symbols at {bits} bits need {expect}",
+                body.len()
+            )))
+        }
+    };
+    let series = SymbolicSeries::unpack_symbols(&body[..expect], bits, count, start, interval)
+        .map_err(|e| Error::Io(format!("WAL record decode: {e}")))?;
+    Ok((house, epoch, series))
 }
 
 // --- the durable store ----------------------------------------------------
@@ -785,8 +796,8 @@ impl<S: Storage> DurableStore<S> {
         let bytes = self.storage.read(&wal)?;
         let scan = scan_records(&bytes);
         for payload in &scan.payloads {
-            let (house, series) = decode_segment_record(payload)?;
-            self.store.append(house, &series)?;
+            let (house, epoch, series) = decode_segment_record(payload)?;
+            self.store.append_epoch(house, epoch, &series)?;
             report.replayed += 1;
         }
         if scan.torn {
@@ -822,16 +833,29 @@ impl<S: Storage> DurableStore<S> {
         Ok(())
     }
 
-    /// Appends `series` as one segment of `house`: validates and applies
-    /// it to the in-memory store, logs it to the WAL, and group-commits
-    /// per [`DurableConfig`]. The record is durable (ack-able) only once
-    /// a [`commit`](Self::commit) covering it returns `Ok`.
+    /// Appends `series` as one segment of `house` at epoch 0 (the
+    /// pre-drift separator table). See [`append_epoch`](Self::append_epoch).
     pub fn append(&mut self, house: u64, series: &SymbolicSeries) -> Result<usize> {
+        self.append_epoch(house, 0, series)
+    }
+
+    /// Appends `series` as one segment of `house`, tagged with the
+    /// separator `epoch` its symbols were encoded under: validates and
+    /// applies it to the in-memory store, logs it (epoch included) to the
+    /// WAL, and group-commits per [`DurableConfig`]. The record is durable
+    /// (ack-able) only once a [`commit`](Self::commit) covering it returns
+    /// `Ok`.
+    pub fn append_epoch(
+        &mut self,
+        house: u64,
+        epoch: u32,
+        series: &SymbolicSeries,
+    ) -> Result<usize> {
         self.guard()?;
         // The in-memory append runs first: it owns validation, so the WAL
         // only ever holds records that replay cleanly.
-        let id = self.store.append(house, series)?;
-        let record = encode_record(&encode_segment_record(house, series));
+        let id = self.store.append_epoch(house, epoch, series)?;
+        let record = encode_record(&encode_segment_record(house, epoch, series));
         if let Err(e) = self.storage.append(&wal_name(self.generation), &record) {
             self.poisoned = true;
             return Err(e);
@@ -993,16 +1017,27 @@ impl<S: Storage> DurableFleet<S> {
         &self.shards[shard]
     }
 
-    /// Appends to the live shard owning `house`, failing over across
-    /// successor vnodes on backend errors. Returns the shard that took the
-    /// record. Non-I/O errors (e.g. an irregular series) propagate without
-    /// killing any shard.
+    /// Appends at epoch 0 to the live shard owning `house`; see
+    /// [`append_epoch`](Self::append_epoch).
     pub fn append(&mut self, house: u64, series: &SymbolicSeries) -> Result<usize> {
+        self.append_epoch(house, 0, series)
+    }
+
+    /// Appends a segment encoded under separator `epoch` to the live shard
+    /// owning `house`, failing over across successor vnodes on backend
+    /// errors. Returns the shard that took the record. Non-I/O errors
+    /// (e.g. an irregular series) propagate without killing any shard.
+    pub fn append_epoch(
+        &mut self,
+        house: u64,
+        epoch: u32,
+        series: &SymbolicSeries,
+    ) -> Result<usize> {
         loop {
             let Some(shard) = self.router.route_alive(house, &self.alive) else {
                 return Err(Error::Io("all shards dead".to_string()));
             };
-            match self.shards[shard].append(house, series) {
+            match self.shards[shard].append_epoch(house, epoch, series) {
                 Ok(_) => return Ok(shard),
                 Err(Error::Io(_)) => {
                     self.alive[shard] = false;
@@ -1087,11 +1122,19 @@ mod tests {
     #[test]
     fn wal_record_roundtrip() {
         let s = series(7, 48);
-        let payload = encode_segment_record(7, &s);
-        let (house, back) = decode_segment_record(&payload).unwrap();
+        let payload = encode_segment_record(7, 0, &s);
+        let (house, epoch, back) = decode_segment_record(&payload).unwrap();
+        assert_eq!(epoch, 0);
         assert_eq!(house, 7);
         assert_eq!(back.symbols(), s.symbols());
         assert_eq!(back.timestamps(), s.timestamps());
+
+        // A non-zero epoch rides as a 4-byte tail; any other tail is torn.
+        let tagged = encode_segment_record(7, 3, &s);
+        assert_eq!(tagged.len(), payload.len() + 4);
+        assert_eq!(tagged[..payload.len()], payload[..]);
+        assert_eq!(decode_segment_record(&tagged).unwrap().1, 3);
+        assert!(decode_segment_record(&tagged[..payload.len() + 2]).is_err());
     }
 
     #[test]

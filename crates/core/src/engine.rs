@@ -3,21 +3,22 @@
 //! The paper's evaluation encodes *hundreds of households* (Fig. 6–7 use the
 //! full CER dataset); a serial [`SymbolicCodec`] walk over the fleet leaves
 //! most of a multi-core sensor gateway idle. This module shards a fleet of
-//! household streams across worker threads connected by bounded channels:
+//! household streams across worker threads through bounded queues:
 //!
 //! ```text
 //!                 ┌──────────┐  house indices   ┌───────────┐
 //!  fleet: &[TS] ─▶│  feeder  │═════bounded═════▶│ worker 0  │──┐
-//!                 └──────────┘       MPMC       ├───────────┤  │ (idx, Ŝ)
+//!                 └──────────┘      window      ├───────────┤  │ (idx, Ŝ)
 //!                                          ════▶│ worker 1  │──┼═══════▶ collector
 //!                                          ════▶│    …      │──┘   places results[idx]
 //!                                               └───────────┘
 //! ```
 //!
 //! * **Batch API** — [`FleetEngine::encode_fleet`] / [`encode_fleet`]: every
-//!   house index travels through one bounded MPMC channel, each worker owns
-//!   reusable scratch buffers ([`SymbolicCodec::encode_into`]) so the hot
-//!   loop is allocation-free, and the collector writes results back by house
+//!   house index travels through the bounded job window of [`crate::pool`],
+//!   each worker owns reusable scratch buffers
+//!   ([`SymbolicCodec::encode_into`]) so the hot loop is allocation-free,
+//!   and the collector writes results back by house
 //!   index, which makes the output **byte-identical to the serial codec
 //!   regardless of worker count**.
 //! * **Streaming API** — [`FleetStream`]: feed `(house, chunk)` pairs, drain
@@ -35,9 +36,8 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::{Duration, Instant};
-
-use crossbeam::channel;
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::time::Instant;
 
 use crate::encoder::{EncodedWindow, OnlineEncoder};
 use crate::error::{Error, Result};
@@ -64,8 +64,8 @@ pub enum TableMode {
 }
 
 /// How [`FleetEngine::encode_fleet`] treats a house that cannot be encoded
-/// (its series fails sanitization, its job exhausts every retry, or the run
-/// deadline skips it).
+/// (its series fails sanitization, or its job errors or exhausts every
+/// retry).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QuarantinePolicy {
     /// The first failing house fails the whole run with a typed error (the
@@ -150,8 +150,6 @@ pub struct EngineConfig {
     /// Retry schedule for panicking encode jobs (only consulted under
     /// [`QuarantinePolicy::Isolate`]; the default never retries).
     pub retry: RetryPolicy,
-    /// Per-run deadline for the supervised encode stage.
-    pub deadline: Option<Duration>,
     /// Deterministic panic injection for robustness tests (`None` in
     /// production).
     pub chaos: Option<PanicPlan>,
@@ -166,7 +164,6 @@ impl Default for EngineConfig {
             quarantine: QuarantinePolicy::default(),
             sanitizer: None,
             retry: RetryPolicy::default(),
-            deadline: None,
             chaos: None,
         }
     }
@@ -205,12 +202,6 @@ impl EngineConfig {
     /// Sets the retry schedule for panicking encode jobs.
     pub fn retry(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
-        self
-    }
-
-    /// Sets the per-run encode deadline.
-    pub fn deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 
@@ -714,8 +705,7 @@ impl FleetEngine {
             workers,
             channel_capacity: self.config.channel_capacity.max(1),
         };
-        let mut policy = SupervisorPolicy::with_retry(self.config.retry);
-        policy.deadline = self.config.deadline;
+        let policy = SupervisorPolicy::with_retry(self.config.retry);
         let builder = &self.builder;
         let chaos = self.config.chaos.as_ref();
         let report = crate::pool::run_indexed_supervised_with(
@@ -840,8 +830,8 @@ const BACKOFF_CAP: std::time::Duration = std::time::Duration::from_millis(5);
 /// ([`backpressure_stalls`](Self::backpressure_stalls)), surfaced through
 /// [`crate::ingest::IngestStats`].
 pub struct FleetStream {
-    inputs: Vec<channel::Sender<StreamJob>>,
-    events: channel::Receiver<Result<WindowEvent>>,
+    inputs: Vec<SyncSender<StreamJob>>,
+    events: Receiver<Result<WindowEvent>>,
     handles: Vec<std::thread::JoinHandle<()>>,
     samples_in: u64,
     symbols_out: u64,
@@ -875,11 +865,11 @@ impl FleetStream {
         };
         let workers = config.workers.max(1);
         let cap = config.channel_capacity.max(1);
-        let (event_tx, events) = channel::bounded::<Result<WindowEvent>>(cap);
+        let (event_tx, events) = mpsc::sync_channel::<Result<WindowEvent>>(cap);
         let mut inputs = Vec::with_capacity(workers);
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
-            let (tx, rx) = channel::bounded::<StreamJob>(cap);
+            let (tx, rx) = mpsc::sync_channel::<StreamJob>(cap);
             inputs.push(tx);
             let event_tx = event_tx.clone();
             let table = codec.table().clone();
@@ -924,11 +914,11 @@ impl FleetStream {
                 self.samples_in += chunk.len() as u64;
                 Ok(())
             }
-            Err(channel::TrySendError::Full(_)) => {
+            Err(TrySendError::Full(_)) => {
                 self.stalls += 1;
                 Err(Error::WouldBlock)
             }
-            Err(channel::TrySendError::Disconnected(_)) => {
+            Err(TrySendError::Disconnected(_)) => {
                 Err(Error::Engine(format!("stream worker {worker} is gone")))
             }
         }
@@ -959,10 +949,10 @@ impl FleetStream {
                     self.samples_in += chunk.len() as u64;
                     return Ok(());
                 }
-                Err(channel::TrySendError::Disconnected(_)) => {
+                Err(TrySendError::Disconnected(_)) => {
                     return Err(Error::Engine(format!("stream worker {worker} is gone")));
                 }
-                Err(channel::TrySendError::Full(j)) => {
+                Err(TrySendError::Full(j)) => {
                     job = j;
                     self.stalls += 1;
                     let elapsed = start.elapsed();
@@ -1028,8 +1018,8 @@ impl FleetStream {
 }
 
 fn stream_worker(
-    rx: channel::Receiver<StreamJob>,
-    tx: channel::Sender<Result<WindowEvent>>,
+    rx: Receiver<StreamJob>,
+    tx: SyncSender<Result<WindowEvent>>,
     table: crate::lookup::LookupTable,
     window_secs: i64,
     min_samples: usize,

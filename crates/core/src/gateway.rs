@@ -32,8 +32,9 @@
 //! ## Thread model
 //!
 //! One **acceptor** thread owns the non-blocking listener: it accepts,
-//! enforces the connection cap, and hands sockets to a bounded channel. The
-//! **session workers** run as jobs on the existing supervised
+//! enforces the connection cap, and hands sockets to the workers through a
+//! bounded `std::sync::mpsc::sync_channel`. The **session workers** run as
+//! jobs on the existing supervised
 //! [`crate::pool`] (`run_indexed_supervised_with`), so a panicking handler
 //! is caught, counted, and respawned by the same machinery that protects
 //! fleet encodes; each worker multiplexes its claimed sessions with
@@ -47,12 +48,11 @@
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{self, Receiver, Sender, TryRecvError};
 
 use crate::encoder::SensorMessage;
 use crate::engine::EngineStats;
@@ -60,7 +60,6 @@ use crate::error::{Error, Result};
 use crate::ingest::{FleetIngest, IngestConfig, IngestStats};
 use crate::json::JsonWriter;
 use crate::pool::{self, PoolConfig, PoolStats, SupervisorPolicy};
-use crate::shard::ShardRouter;
 use crate::telemetry::Registry;
 
 /// Handshake magic: the first four bytes of every meter connection.
@@ -114,13 +113,10 @@ pub struct GatewayConfig {
     /// How long [`Gateway::shutdown`] lets in-flight sessions finish before
     /// force-closing them.
     pub drain_timeout: Duration,
-    /// Policy for the shared [`FleetIngest`] behind the sessions.
+    /// Policy for the shared [`FleetIngest`] behind the sessions; its
+    /// `max_meters` / `max_buffered_bytes` caps hold exactly across every
+    /// concurrent session.
     pub ingest: IngestConfig,
-    /// Shards the ingest state is partitioned into — consistent hashing of
-    /// meter id through [`crate::shard::ShardRouter`], one lock per shard,
-    /// so sessions on different shards commit concurrently. `1` restores
-    /// the single-lock layout.
-    pub ingest_shards: usize,
     /// Serve the HTTP sidecar (`/metrics`, `/healthz`, `/readyz`) on its
     /// own ephemeral loopback port.
     pub http_metrics: bool,
@@ -139,7 +135,6 @@ impl Default for GatewayConfig {
             idle_timeout: Duration::from_secs(30),
             drain_timeout: Duration::from_secs(5),
             ingest: IngestConfig::default(),
-            ingest_shards: 4,
             http_metrics: false,
         }
     }
@@ -186,12 +181,6 @@ impl GatewayConfig {
     /// Enables the HTTP metrics sidecar.
     pub fn http_metrics(mut self, on: bool) -> Self {
         self.http_metrics = on;
-        self
-    }
-
-    /// Sets the ingest shard count (clamped to ≥ 1).
-    pub fn ingest_shards(mut self, shards: usize) -> Self {
-        self.ingest_shards = shards.max(1);
         self
     }
 }
@@ -299,125 +288,25 @@ impl Counters {
     }
 }
 
-/// One shard of ingest state: a [`FleetIngest`] plus the per-meter decoded
-/// output, mutated under the shard's lock so a meter's decoded stream is
-/// identical to an in-process run over the same per-meter bytes.
+/// The ingest state behind every session: one [`FleetIngest`] carrying the
+/// configured caps plus the per-meter decoded output, mutated under one
+/// lock so a meter's decoded stream is identical to an in-process run over
+/// the same per-meter bytes and the caps are checked and applied
+/// atomically.
 struct Core {
     fleet: FleetIngest,
     output: BTreeMap<u64, Vec<SensorMessage>>,
 }
 
-/// The ingest state behind every session, partitioned by meter id through
-/// a [`ShardRouter`]: each shard holds its own [`Core`] under its own
-/// lock, so sessions whose meters land on different shards commit
-/// concurrently instead of serializing on one mutex.
-///
-/// The **global** `max_meters` / `max_buffered_bytes` caps are enforced
-/// here with atomic counters, in [`FleetIngest::ingest`]'s check order
-/// (backlog first, then the meter cap); the per-shard instances run
-/// uncapped so a shard can never double-reject. Under concurrent sessions
-/// the atomic check is advisory-exact — a race can overshoot a cap by at
-/// most the chunks in flight — and a rejected chunk still changes no
-/// state. Per-meter output stays byte-identical to the single-lock
-/// layout: a meter maps to exactly one shard and its session serializes
-/// its own bytes.
-struct IngestShards {
-    router: ShardRouter,
-    cores: Vec<Mutex<Core>>,
-    /// Distinct meters across every shard.
-    meters: AtomicUsize,
-    /// Bytes buffered across every shard awaiting frame completion.
-    buffered: AtomicUsize,
-    meters_rejected: AtomicU64,
-    backlog_rejections: AtomicU64,
-    max_meters: usize,
-    max_buffered_bytes: usize,
-}
-
-impl IngestShards {
-    fn new(shards: usize, config: IngestConfig) -> Result<Self> {
-        let router = ShardRouter::new(shards.max(1))?;
-        let uncapped = config.max_meters(usize::MAX).max_buffered_bytes(usize::MAX);
-        let cores = (0..router.shards())
-            .map(|_| {
-                Mutex::new(Core { fleet: FleetIngest::new(uncapped), output: BTreeMap::new() })
-            })
-            .collect();
-        Ok(IngestShards {
-            router,
-            cores,
-            meters: AtomicUsize::new(0),
-            buffered: AtomicUsize::new(0),
-            meters_rejected: AtomicU64::new(0),
-            backlog_rejections: AtomicU64::new(0),
-            max_meters: config.max_meters,
-            max_buffered_bytes: config.max_buffered_bytes,
-        })
-    }
-
-    /// Feeds `bytes` through the meter's shard, commits the decoded frames
-    /// to that shard's output map, and returns the decoded count — `None`
-    /// on any rejection (the counters record why; the session closes).
-    fn ingest_commit(&self, meter: u64, bytes: &[u8]) -> Option<u64> {
-        if self.buffered.load(Ordering::Acquire).saturating_add(bytes.len())
-            > self.max_buffered_bytes
-        {
-            self.backlog_rejections.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let mut core = self.cores[self.router.route(meter)].lock().unwrap();
-        let is_new = core.fleet.meter(meter).is_none();
-        if is_new && self.meters.load(Ordering::Acquire) >= self.max_meters {
-            self.meters_rejected.fetch_add(1, Ordering::Relaxed);
-            return None;
-        }
-        let before = core.fleet.buffered_total();
-        let result = core.fleet.ingest(meter, bytes);
-        let after = core.fleet.buffered_total();
-        if after >= before {
-            self.buffered.fetch_add(after - before, Ordering::AcqRel);
-        } else {
-            self.buffered.fetch_sub(before - after, Ordering::AcqRel);
-        }
-        if is_new && core.fleet.meter(meter).is_some() {
-            self.meters.fetch_add(1, Ordering::AcqRel);
-        }
-        match result {
-            Ok(msgs) => {
-                let n = msgs.len() as u64;
-                core.output.entry(meter).or_default().extend(msgs);
-                Some(n)
-            }
-            Err(_) => None,
-        }
-    }
-
-    /// Counters merged across every shard, with the fleet-level rejection
-    /// counters taken from the global checks here.
-    fn stats(&self) -> IngestStats {
-        let mut total = IngestStats::default();
-        for core in &self.cores {
-            total.merge(&core.lock().unwrap().fleet.stats());
-        }
-        total.meters_rejected = self.meters_rejected.load(Ordering::Relaxed);
-        total.backlog_rejections = self.backlog_rejections.load(Ordering::Relaxed);
-        total
-    }
-
-    /// Drains every shard's output (meter keys are disjoint across shards,
-    /// so the merged map is exactly their union) and merges the final
-    /// ingest counters.
-    fn take_report(&self) -> (BTreeMap<u64, Vec<SensorMessage>>, IngestStats) {
-        let mut output = BTreeMap::new();
-        let mut ingest = IngestStats::default();
-        for core in &self.cores {
-            let mut core = core.lock().unwrap();
-            output.append(&mut core.output);
-            ingest.merge(&core.fleet.stats());
-        }
-        ingest.meters_rejected = self.meters_rejected.load(Ordering::Relaxed);
-        ingest.backlog_rejections = self.backlog_rejections.load(Ordering::Relaxed);
-        (output, ingest)
+impl Core {
+    /// Feeds `bytes` through the fleet, commits the decoded frames to the
+    /// meter's output, and returns the decoded count — `None` on any
+    /// rejection (the fleet's counters record why; the session closes).
+    fn ingest_commit(&mut self, meter: u64, bytes: &[u8]) -> Option<u64> {
+        let msgs = self.fleet.ingest(meter, bytes).ok()?;
+        let n = msgs.len() as u64;
+        self.output.entry(meter).or_default().extend(msgs);
+        Some(n)
     }
 }
 
@@ -432,12 +321,20 @@ struct Shared {
     /// When the shutdown flag was set (drain deadline anchor).
     shutdown_at: Mutex<Option<Instant>>,
     counters: Counters,
-    shards: IngestShards,
+    core: Mutex<Core>,
 }
 
 impl Shared {
     fn drain_deadline(&self) -> Option<Instant> {
         self.shutdown_at.lock().unwrap().map(|t| t + self.config.drain_timeout)
+    }
+
+    /// The ingest state. A commit that panicked (caught and respawned by
+    /// the pool) leaves every meter's decoder and output whole — at worst
+    /// the backlog counter misses that one chunk — so the guard is
+    /// recovered rather than failing every other session on the poison.
+    fn core(&self) -> MutexGuard<'_, Core> {
+        self.core.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -701,19 +598,18 @@ impl Session {
         }
     }
 
-    /// Feeds `bytes` through the meter's ingest shard, commits the decoded
-    /// frames to that shard's output map, and queues a cumulative ack — in
-    /// that order, under the shard's lock, so an acknowledged frame is
-    /// always in the output.
+    /// Feeds `bytes` through the shared ingest, commits the decoded frames
+    /// to the output map under its lock, and only then queues a cumulative
+    /// ack, so an acknowledged frame is always in the output.
     fn ingest_bytes(&mut self, shared: &Shared, bytes: &[u8]) -> Option<CloseReason> {
         let (meter, prev_acked) = match &self.state {
             SessionState::Streaming { meter, acked } => (*meter, *acked),
             _ => return Some(CloseReason::IoError),
         };
         // Fleet-level resource caps (or a fail-fast decode error in
-        // non-recover mode) close the connection; the shard counters and
-        // the fleet's own IngestStats record the rejection.
-        let decoded = match shared.shards.ingest_commit(meter, bytes) {
+        // non-recover mode) close the connection; the fleet's IngestStats
+        // record the rejection.
+        let decoded = match shared.core().ingest_commit(meter, bytes) {
             Some(n) => n,
             None => return Some(CloseReason::IoError),
         };
@@ -732,14 +628,15 @@ impl Session {
 
 /// One session worker: claims connections from the acceptor channel and
 /// multiplexes them until shutdown (plus drain) completes.
-fn session_worker(shared: &Arc<Shared>, conn_rx: &Receiver<TcpStream>) {
+fn session_worker(shared: &Arc<Shared>, conn_rx: &Mutex<Receiver<TcpStream>>) {
     let mut sessions: Vec<Session> = Vec::new();
     let mut scratch = vec![0u8; READ_CHUNK];
     let mut acceptor_gone = false;
     loop {
         // Claim newly accepted connections without blocking.
         loop {
-            match conn_rx.try_recv() {
+            let next = conn_rx.lock().unwrap_or_else(PoisonError::into_inner).try_recv();
+            match next {
                 Ok(stream) => {
                     let now = Instant::now();
                     match Session::new(stream, shared, now) {
@@ -810,7 +707,7 @@ fn session_worker(shared: &Arc<Shared>, conn_rx: &Receiver<TcpStream>) {
 
 /// The acceptor loop: non-blocking accepts, connection cap, handoff to the
 /// worker channel. Exits when the shutdown flag is set.
-fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener, conn_tx: Sender<TcpStream>) {
+fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener, conn_tx: SyncSender<TcpStream>) {
     listener.set_nonblocking(true).expect("loopback listener supports non-blocking");
     while !shared.shutdown.load(Ordering::Relaxed) {
         match listener.accept() {
@@ -894,7 +791,7 @@ fn route_http(
             let reg = Registry::with_catalog();
             let stats = shared.counters.snapshot(0.0);
             stats.register_into(&reg);
-            shared.shards.stats().register_into(&reg);
+            shared.core().fleet.stats().register_into(&reg);
             ("200 OK", "text/plain; version=0.0.4; charset=utf-8", reg.render_prometheus())
         }
         b"/healthz" => ("200 OK", "text/plain; charset=utf-8", "ok\n".into()),
@@ -979,18 +876,18 @@ impl Gateway {
         };
 
         let workers = config.workers.max(1);
-        let ingest = config.ingest;
-        let ingest_shards = config.ingest_shards;
+        let fleet = FleetIngest::new(config.ingest);
         let shared = Arc::new(Shared {
             config,
             shutdown: AtomicBool::new(false),
             degraded: AtomicBool::new(false),
             shutdown_at: Mutex::new(None),
             counters: Counters::default(),
-            shards: IngestShards::new(ingest_shards, ingest)?,
+            core: Mutex::new(Core { fleet, output: BTreeMap::new() }),
         });
 
-        let (conn_tx, conn_rx) = channel::bounded::<TcpStream>(workers * 8);
+        let (conn_tx, conn_rx) = mpsc::sync_channel::<TcpStream>(workers * 8);
+        let conn_rx = Mutex::new(conn_rx);
 
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -1093,7 +990,10 @@ impl Gateway {
             h.join().ok();
         }
         let drain_secs = drain_started.elapsed().as_secs_f64();
-        let (output, ingest) = self.shared.shards.take_report();
+        let (output, ingest) = {
+            let mut core = self.shared.core();
+            (std::mem::take(&mut core.output), core.fleet.stats())
+        };
         GatewayReport {
             output,
             stats: self.shared.counters.snapshot(drain_secs),

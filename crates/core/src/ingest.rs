@@ -604,6 +604,21 @@ mod tests {
         }
         assert_eq!(fleet.buffered_total(), 0, "completed frames leave no backlog");
         assert_eq!(fleet.stats().backlog_rejections, 0);
+
+        // With both caps binding, the backlog check fires before the meter
+        // cap, and neither rejection changes any state.
+        let cfg = IngestConfig::default().max_meters(2).max_buffered_bytes(8);
+        let mut fleet = FleetIngest::new(cfg);
+        fleet.ingest(1, &[0x02, 0]).unwrap(); // a window tag, header cut short
+        fleet.ingest(2, &[0x02, 0]).unwrap();
+        let err = fleet.ingest(3, &[0; 16]).unwrap_err();
+        assert_eq!(err, Error::BacklogExceeded { buffered: 4, incoming: 16, max: 8 });
+        assert_eq!(fleet.ingest(3, &[0]).unwrap_err(), Error::TooManyMeters { max: 2 });
+        assert_eq!((fleet.meter_count(), fleet.buffered_total()), (2, 4));
+        fleet.ingest(1, &[0]).unwrap(); // known meters keep flowing
+        let stats = fleet.stats();
+        assert_eq!((stats.backlog_rejections, stats.meters_rejected), (1, 1));
+        assert_eq!(stats.bytes_in, 5, "rejected chunks never reach a meter");
     }
 
     #[test]

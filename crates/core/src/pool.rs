@@ -1,4 +1,4 @@
-//! Shared bounded-channel worker pool with optional supervision.
+//! Shared bounded-queue worker pool with supervision.
 //!
 //! The fan-out/fan-in core that [`crate::engine::FleetEngine`] introduced for
 //! fleet encoding, generalized so any indexed batch of independent jobs —
@@ -6,27 +6,27 @@
 //! through the same machinery:
 //!
 //! ```text
-//!              ┌──────────┐   job indices    ┌───────────┐
-//!  0..n_jobs ─▶│  feeder  │═════bounded═════▶│ worker 0  │──┐
-//!              └──────────┘       MPMC       ├───────────┤  │ (idx, R)
-//!                                       ════▶│ worker 1  │──┼═══════▶ collector
-//!                                       ════▶│    …      │──┘   places results[idx]
-//!                                            └───────────┘
+//!              ┌──────────┐  job-index window  ┌───────────┐
+//!  0..n_jobs ─▶│  feeder  │═Mutex + Condvar═══▶│ worker 0  │──┐ outcomes,
+//!              └──────────┘ ≤ queue_capacity   ├───────────┤  │ returned on
+//!                                         ════▶│ worker 1  │──┼──────▶ join and
+//!                                         ════▶│    …      │──┘   placed at [idx]
+//!                                              └───────────┘
 //! ```
 //!
-//! Two entry-point families share that topology:
+//! One worker body serves every entry point:
 //!
-//! * [`run_indexed`] / [`run_indexed_with`] — the fast path. A panicking
-//!   job fails the whole run, but as a typed [`Error::Engine`] `Result`
+//! * [`run_indexed_supervised`] / [`run_indexed_supervised_with`] — every
+//!   job executes under `catch_unwind`; a panicking job is retried per
+//!   [`RetryPolicy`] (deterministic jittered backoff), bounded by an
+//!   optional per-run deadline, and reported as a per-job [`Outcome`]
+//!   inside a [`PoolReport`] instead of taking the run down. A worker whose
+//!   thread body itself crashes is re-armed with fresh scratch state (a
+//!   logical respawn), so one panic never shrinks the pool.
+//! * [`run_indexed`] / [`run_indexed_with`] — thin adapters over the
+//!   supervised body with the default never-retry policy: the lowest-index
+//!   panicked job fails the whole run as a typed [`Error::Engine`] `Result`
 //!   rather than a process abort.
-//! * [`run_indexed_supervised`] / [`run_indexed_supervised_with`] — the
-//!   hardened path. Every job executes under `catch_unwind`; a panicking
-//!   job is retried per [`RetryPolicy`] (deterministic jittered backoff),
-//!   bounded by an optional per-run deadline, and reported as a per-job
-//!   [`Outcome`] inside a [`PoolReport`] instead of taking the run down.
-//!   A worker whose thread body itself crashes is re-armed with fresh
-//!   scratch state (a logical respawn), so one panic never shrinks the
-//!   pool.
 //!
 //! Determinism contract: the collector writes every result back at its job
 //! index, so the output is **independent of worker count and scheduling**
@@ -37,13 +37,13 @@
 //! quarantine decisions bit-identical at any worker count (`DESIGN.md` §10).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-
-use crossbeam::channel;
 
 use crate::error::{Error, Result};
 use crate::json::JsonWriter;
+use crate::shard::splitmix64;
 use crate::telemetry::{Log2Histogram, Registry, ShardSet};
 
 /// Parallelism knobs for one pool run.
@@ -138,15 +138,6 @@ impl RetryPolicy {
         let jitter = splitmix64((job as u64) ^ ((attempt as u64) << 32)) % (jitter_span + 1);
         (step + Duration::from_nanos(jitter)).min(self.backoff_cap)
     }
-}
-
-/// SplitMix64 — a tiny, well-mixed hash used to derive jitter from job
-/// coordinates without any RNG state.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Supervision knobs for one [`run_indexed_supervised`] run.
@@ -276,10 +267,9 @@ pub struct PoolStats {
     /// Capacity of the bounded job queue.
     pub queue_capacity: usize,
     /// High-water mark of jobs enqueued but not yet claimed by a worker.
-    /// Sampled from the bounded channel's exact length (taken under the
-    /// channel lock) after each enqueue, so it can never exceed
-    /// `queue_capacity`; being a sample, it may undershoot the
-    /// instantaneous peak but never overshoots it.
+    /// Read under the queue lock after each enqueue — the only moment the
+    /// depth grows — so it is the exact peak and never exceeds
+    /// `queue_capacity`.
     pub max_queue_depth: usize,
     /// Job attempts that panicked (caught by the supervisor; includes
     /// attempts that were later retried successfully).
@@ -370,6 +360,10 @@ where
 /// worker thread and the resulting state is passed to every job that worker
 /// claims. This is how the fleet encoder keeps allocation-free reusable
 /// buffers without any locking.
+///
+/// A thin adapter over [`run_indexed_supervised_with`] under the default
+/// (never-retry, no-deadline) policy: the lowest-index panicked job becomes
+/// the run's `Error::Engine("pool worker panicked: …")`.
 pub fn run_indexed_with<S, R, I, F>(
     n_jobs: usize,
     config: &PoolConfig,
@@ -381,79 +375,27 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> R + Sync,
 {
-    let workers = config.effective_workers(n_jobs);
-    let cap = config.channel_capacity.max(1);
-    let mut stats =
-        PoolStats { workers, jobs: n_jobs, queue_capacity: cap, ..PoolStats::default() };
-    if n_jobs == 0 {
-        return Ok((Vec::new(), stats));
-    }
-
-    let mut results: Vec<Option<R>> = (0..n_jobs).map(|_| None).collect();
-    let high_water = AtomicUsize::new(0);
-    let shards = ShardSet::new(workers);
-    // `std::thread::scope` (under the compat crossbeam wrapper) re-raises a
-    // spawned thread's panic on the joining thread; catching it here turns
-    // "one poisoned job aborts the fleet run" into a typed error. The
-    // `AssertUnwindSafe` is sound because on the error path every borrowed
-    // value (`results`, the gauges) is either discarded or written only
-    // through atomics.
-    let run = catch_unwind(AssertUnwindSafe(|| {
-        crossbeam::thread::scope(|s| {
-            let (job_tx, job_rx) = channel::bounded::<usize>(cap);
-            let (res_tx, res_rx) = channel::unbounded::<(usize, R)>();
-            for w in 0..workers {
-                let job_rx = job_rx.clone();
-                let res_tx = res_tx.clone();
-                let (init, job, shards) = (&init, &job, &shards);
-                s.spawn(move |_| {
-                    let mut state = init();
-                    for idx in job_rx.iter() {
-                        let r = job(&mut state, idx);
-                        // Every fast-path job resolves on its first try;
-                        // the shard still records per worker so the merge
-                        // (index order, commutative adds) is exercised on
-                        // every run, not only under supervision.
-                        shards.with(w, |sh| sh.observe("sms_pool_job_attempts", 1));
-                        if res_tx.send((idx, r)).is_err() {
-                            break; // collector is gone
-                        }
-                    }
-                });
-            }
-            drop(job_rx);
-            drop(res_tx);
-            for idx in 0..n_jobs {
-                if job_tx.send(idx).is_err() {
-                    // Workers only vanish by panicking; the panic will
-                    // surface when the scope joins them, so just stop
-                    // feeding and let that error win.
-                    break;
-                }
-                // Sample the channel's exact depth after each enqueue. A
-                // sample can only undershoot the instantaneous peak, never
-                // report more jobs than the bounded channel can hold.
-                high_water.fetch_max(job_tx.len(), Ordering::Relaxed);
-            }
-            drop(job_tx);
-            for (idx, r) in res_rx.iter() {
-                results[idx] = Some(r);
-            }
-        })
-        .expect("compat scope propagates panics instead of returning Err");
-    }));
-    if let Err(payload) = run {
-        return Err(Error::Engine(format!("pool worker panicked: {}", panic_message(&*payload))));
-    }
-
-    stats.max_queue_depth = high_water.load(Ordering::Relaxed);
-    stats.job_attempts = shards.merged().histogram("sms_pool_job_attempts");
-    let results = results
+    let report = run_indexed_supervised_with(
+        n_jobs,
+        config,
+        &SupervisorPolicy::default(),
+        init,
+        |state, idx, _attempt| job(state, idx),
+    );
+    let results = report
+        .results
         .into_iter()
         .enumerate()
-        .map(|(idx, r)| r.ok_or_else(|| Error::Engine(format!("job {idx} produced no result"))))
+        .map(|(idx, outcome)| match outcome {
+            Outcome::Panicked { message, .. } => {
+                Err(Error::Engine(format!("pool worker panicked: {message}")))
+            }
+            other => {
+                other.into_value().ok_or_else(|| Error::Engine(format!("job {idx} timed out")))
+            }
+        })
         .collect::<Result<Vec<R>>>()?;
-    Ok((results, stats))
+    Ok((results, report.stats))
 }
 
 /// [`run_indexed_supervised_with`] without per-worker scratch state. The
@@ -478,8 +420,92 @@ where
     )
 }
 
-/// The supervised pool: every job attempt runs under `catch_unwind`, panics
-/// are retried per [`SupervisorPolicy::retry`] (the scratch state is
+/// The bounded job queue: indices `claimed..queued` are enqueued but not yet
+/// taken by a worker. The feeder never lets that window grow past the
+/// capacity, and records its exact high-water mark under the same lock.
+struct JobWindow {
+    n_jobs: usize,
+    capacity: usize,
+    state: Mutex<WindowState>,
+    /// Signalled when a job is queued, and (to everyone) when the last job
+    /// is claimed so idle workers can exit.
+    job_ready: Condvar,
+    /// Signalled when a worker claims a job, making room for the feeder.
+    room: Condvar,
+}
+
+#[derive(Default)]
+struct WindowState {
+    queued: usize,
+    claimed: usize,
+    max_depth: usize,
+}
+
+impl JobWindow {
+    fn new(n_jobs: usize, capacity: usize) -> Self {
+        JobWindow {
+            n_jobs,
+            capacity,
+            state: Mutex::new(WindowState::default()),
+            job_ready: Condvar::new(),
+            room: Condvar::new(),
+        }
+    }
+
+    /// Every update under the lock is a counter step that cannot stop
+    /// midway, so the state stays valid even if the mutex was poisoned.
+    fn lock(&self) -> MutexGuard<'_, WindowState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Enqueues every job index in order, blocking while the window is full.
+    fn feed(&self) {
+        for _ in 0..self.n_jobs {
+            let mut st = self.lock();
+            while st.queued - st.claimed >= self.capacity {
+                st = self.room.wait(st).unwrap_or_else(PoisonError::into_inner);
+            }
+            st.queued += 1;
+            // Depth only grows here, so sampling after each enqueue under
+            // the lock captures the exact peak.
+            st.max_depth = st.max_depth.max(st.queued - st.claimed);
+            drop(st);
+            self.job_ready.notify_one();
+        }
+    }
+
+    /// Claims the next queued job index, blocking while none is queued;
+    /// `None` once every job has been claimed.
+    fn claim(&self) -> Option<usize> {
+        let mut st = self.lock();
+        loop {
+            if st.claimed < st.queued {
+                let idx = st.claimed;
+                st.claimed += 1;
+                let last = st.claimed == self.n_jobs;
+                drop(st);
+                self.room.notify_one();
+                if last {
+                    self.job_ready.notify_all();
+                }
+                return Some(idx);
+            }
+            if st.claimed == self.n_jobs {
+                return None;
+            }
+            st = self.job_ready.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    fn max_depth(&self) -> usize {
+        self.lock().max_depth
+    }
+}
+
+/// The pool: the calling thread feeds job indices through a bounded
+/// job window to `workers` scoped threads, each returning its outcomes
+/// when joined. Every job attempt runs under `catch_unwind`; panics are
+/// retried per [`SupervisorPolicy::retry`] (the scratch state is
 /// re-initialized after each caught panic, since the panicking attempt may
 /// have torn it), jobs that cannot start before the deadline resolve to
 /// [`Outcome::TimedOut`], and a worker whose thread body itself crashes is
@@ -510,8 +536,7 @@ where
 
     let deadline_at = policy.deadline.map(|d| Instant::now() + d);
     let retry = policy.retry;
-    let mut results: Vec<Option<Outcome<R>>> = (0..n_jobs).map(|_| None).collect();
-    let high_water = AtomicUsize::new(0);
+    let window = JobWindow::new(n_jobs, cap);
     let panics = AtomicU64::new(0);
     let retries = AtomicU64::new(0);
     let gave_up = AtomicU64::new(0);
@@ -519,105 +544,94 @@ where
     let respawns = AtomicU64::new(0);
     let shards = ShardSet::new(workers);
 
-    crossbeam::thread::scope(|s| {
-        let (job_tx, job_rx) = channel::bounded::<usize>(cap);
-        let (res_tx, res_rx) = channel::unbounded::<(usize, Outcome<R>)>();
-        for w in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let (init, job, shards) = (&init, &job, &shards);
-            let (panics, retries, gave_up, deadline_exceeded, respawns) =
-                (&panics, &retries, &gave_up, &deadline_exceeded, &respawns);
-            s.spawn(move |_| {
-                // Respawn-in-place loop: should the worker body below ever
-                // panic outside the per-attempt catch (an `init` panic, or a
-                // result whose channel-send drop panics), the worker is
-                // re-armed with fresh scratch and keeps draining the queue
-                // rather than shrinking the pool. The job it was holding is
-                // repaired by the collector (see the `None` backfill below).
-                loop {
-                    let body = catch_unwind(AssertUnwindSafe(|| {
-                        let mut state = init();
-                        for idx in job_rx.iter() {
-                            let mut attempt = 0u32;
-                            let outcome = loop {
-                                if let Some(t) = deadline_at {
-                                    if Instant::now() >= t {
+    let mut results: Vec<Option<Outcome<R>>> = (0..n_jobs).map(|_| None).collect();
+    std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let (window, init, job, shards) = (&window, &init, &job, &shards);
+                let (panics, retries, gave_up, deadline_exceeded, respawns) =
+                    (&panics, &retries, &gave_up, &deadline_exceeded, &respawns);
+                s.spawn(move || {
+                    let mut done: Vec<(usize, Outcome<R>)> = Vec::new();
+                    // Respawn-in-place loop: should the worker body below
+                    // ever panic outside the per-attempt catch (an `init`
+                    // panic, say), the worker is re-armed with fresh scratch
+                    // and keeps draining the queue rather than shrinking the
+                    // pool. The job it was holding is repaired by the
+                    // backfill below.
+                    loop {
+                        let body = catch_unwind(AssertUnwindSafe(|| {
+                            let mut state = init();
+                            while let Some(idx) = window.claim() {
+                                let mut attempt = 0u32;
+                                let outcome = loop {
+                                    if deadline_at.is_some_and(|t| Instant::now() >= t) {
                                         deadline_exceeded.fetch_add(1, Ordering::Relaxed);
                                         break Outcome::TimedOut;
                                     }
-                                }
-                                attempt += 1;
-                                if attempt > 1 {
-                                    retries.fetch_add(1, Ordering::Relaxed);
-                                    std::thread::sleep(retry.delay(idx, attempt - 1));
-                                }
-                                match catch_unwind(AssertUnwindSafe(|| {
-                                    job(&mut state, idx, attempt)
-                                })) {
-                                    Ok(value) => {
-                                        break if attempt == 1 {
-                                            Outcome::Ok(value)
-                                        } else {
-                                            Outcome::Retried { value, retries: attempt - 1 }
-                                        };
+                                    attempt += 1;
+                                    if attempt > 1 {
+                                        retries.fetch_add(1, Ordering::Relaxed);
+                                        std::thread::sleep(retry.delay(idx, attempt - 1));
                                     }
-                                    Err(payload) => {
-                                        panics.fetch_add(1, Ordering::Relaxed);
-                                        // The attempt may have torn the
-                                        // scratch buffers mid-write; rebuild
-                                        // them before any retry touches them.
-                                        state = init();
-                                        if attempt >= retry.max_attempts.max(1) {
-                                            gave_up.fetch_add(1, Ordering::Relaxed);
-                                            break Outcome::Panicked {
-                                                message: panic_message(&*payload),
-                                                attempts: attempt,
+                                    match catch_unwind(AssertUnwindSafe(|| {
+                                        job(&mut state, idx, attempt)
+                                    })) {
+                                        Ok(value) => {
+                                            break if attempt == 1 {
+                                                Outcome::Ok(value)
+                                            } else {
+                                                Outcome::Retried { value, retries: attempt - 1 }
                                             };
                                         }
+                                        Err(payload) => {
+                                            panics.fetch_add(1, Ordering::Relaxed);
+                                            // The attempt may have torn the
+                                            // scratch buffers mid-write;
+                                            // rebuild them before any retry.
+                                            state = init();
+                                            if attempt >= retry.max_attempts.max(1) {
+                                                gave_up.fetch_add(1, Ordering::Relaxed);
+                                                break Outcome::Panicked {
+                                                    message: panic_message(&*payload),
+                                                    attempts: attempt,
+                                                };
+                                            }
+                                        }
                                     }
+                                };
+                                // Attempts-per-job is a pure function of the
+                                // job index (given a deterministic fault
+                                // plan), so the merged shard histogram is
+                                // worker-count-independent; timed-out jobs
+                                // ran zero attempts and are skipped.
+                                if !matches!(outcome, Outcome::TimedOut) {
+                                    shards.with(w, |sh| {
+                                        sh.observe("sms_pool_job_attempts", u64::from(attempt))
+                                    });
                                 }
-                            };
-                            // Attempts-per-job is a pure function of the
-                            // job index (given a deterministic fault
-                            // plan), so the merged shard histogram is
-                            // worker-count-independent; timed-out jobs ran
-                            // zero attempts and are skipped.
-                            if !matches!(outcome, Outcome::TimedOut) {
-                                shards.with(w, |sh| {
-                                    sh.observe("sms_pool_job_attempts", u64::from(attempt))
-                                });
+                                done.push((idx, outcome));
                             }
-                            if res_tx.send((idx, outcome)).is_err() {
-                                return; // collector is gone
+                        }));
+                        match body {
+                            Ok(()) => break done,
+                            Err(_) => {
+                                respawns.fetch_add(1, Ordering::Relaxed);
                             }
-                        }
-                    }));
-                    match body {
-                        Ok(()) => break,
-                        Err(_) => {
-                            respawns.fetch_add(1, Ordering::Relaxed);
-                            continue;
                         }
                     }
-                }
-            });
-        }
-        drop(job_rx);
-        drop(res_tx);
-        for idx in 0..n_jobs {
-            if job_tx.send(idx).is_err() {
-                break; // all workers gone (only possible via repeated crashes)
+                })
+            })
+            .collect();
+        window.feed();
+        for handle in handles {
+            // Workers catch their own panics; a join error would mean the
+            // respawn loop itself died, and its jobs are backfilled below.
+            for (idx, outcome) in handle.join().unwrap_or_default() {
+                results[idx] = Some(outcome);
             }
-            // Exact post-enqueue sample; see `run_indexed_with`.
-            high_water.fetch_max(job_tx.len(), Ordering::Relaxed);
         }
-        drop(job_tx);
-        for (idx, outcome) in res_rx.iter() {
-            results[idx] = Some(outcome);
-        }
-    })
-    .expect("supervised workers catch their own panics");
+    });
 
     // A job claimed by a worker that crashed outside the per-attempt catch
     // never reported back; account it as a panic failure so the report stays
@@ -636,7 +650,7 @@ where
         })
         .collect();
 
-    stats.max_queue_depth = high_water.load(Ordering::Relaxed);
+    stats.max_queue_depth = window.max_depth();
     stats.job_attempts = shards.merged().histogram("sms_pool_job_attempts");
     stats.panics = panics.load(Ordering::Relaxed);
     stats.retries = retries.load(Ordering::Relaxed);

@@ -46,7 +46,6 @@ use crate::adaptive::{AdaptiveStats, DriftDetector};
 use crate::engine::{QuarantineReason, Quarantined};
 use crate::error::{Error, Result};
 use crate::horizontal::SymbolicSeries;
-use crate::ingest::{FleetIngest, IngestConfig, IngestStats};
 use crate::lookup::LookupTable;
 use crate::pipeline::CodecBuilder;
 use crate::pool::{Outcome, PoolConfig, PoolStats, RetryPolicy, SupervisorPolicy};
@@ -58,10 +57,13 @@ use crate::timeseries::TimeSeries;
 /// whole ring still fits in one cache line per shard.
 pub const VNODES_PER_SHARD: usize = 32;
 
+/// Lookup tables each shard's [`TableCache`] retains.
+const TABLE_CACHE_CAPACITY: usize = 4096;
+
 /// SplitMix64 — the finalizer used across the crate for deterministic,
-/// seed-stable hashing (same constants as [`crate::pool`]'s internal
-/// copy). Public here because shard routing *is* the hash: callers
-/// verifying placement externally need bit-identical values.
+/// seed-stable hashing (shard routing, retry jitter in [`crate::pool`],
+/// sketch compaction parity). Public here because shard routing *is* the
+/// hash: callers verifying placement externally need bit-identical values.
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e3779b97f4a7c15);
     let mut z = x;
@@ -281,8 +283,6 @@ pub struct ShardedEngineConfig {
     pub shards: usize,
     /// Worker threads per shard pool (`0` = one per core).
     pub workers: usize,
-    /// Lookup tables each shard's cache retains.
-    pub table_cache_capacity: usize,
     /// Retry schedule for panicking encode jobs.
     pub retry: RetryPolicy,
     /// Online drift adaptation, `None` (the default) disables it. When set,
@@ -315,13 +315,7 @@ impl Default for DriftConfig {
 
 impl Default for ShardedEngineConfig {
     fn default() -> Self {
-        ShardedEngineConfig {
-            shards: 4,
-            workers: 1,
-            table_cache_capacity: 4096,
-            retry: RetryPolicy::default(),
-            drift: None,
-        }
+        ShardedEngineConfig { shards: 4, workers: 1, retry: RetryPolicy::default(), drift: None }
     }
 }
 
@@ -334,12 +328,6 @@ impl ShardedEngineConfig {
     /// Sets the per-shard worker count.
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Sets the per-shard table-cache capacity.
-    pub fn table_cache_capacity(mut self, capacity: usize) -> Self {
-        self.table_cache_capacity = capacity;
         self
     }
 
@@ -422,8 +410,7 @@ impl ShardedFleetEngine {
     /// An engine over `builder`'s codec with `config`'s topology.
     pub fn new(builder: CodecBuilder, config: ShardedEngineConfig) -> Result<Self> {
         let router = ShardRouter::new(config.shards)?;
-        let caches =
-            (0..config.shards).map(|_| TableCache::new(config.table_cache_capacity)).collect();
+        let caches = (0..config.shards).map(|_| TableCache::new(TABLE_CACHE_CAPACITY)).collect();
         Ok(ShardedFleetEngine {
             builder,
             config,
@@ -671,84 +658,6 @@ impl ShardedFleetEngine {
     }
 }
 
-/// [`FleetIngest`] partitioned by the ring: per-shard meter maps and
-/// backlog accounting, with the **global** `max_meters` /
-/// `max_buffered_bytes` caps still enforced exactly, in
-/// [`FleetIngest::ingest`]'s check order (backlog first, then the meter
-/// cap, then delegation — a rejected chunk changes no state).
-#[derive(Debug)]
-pub struct ShardedIngest {
-    config: IngestConfig,
-    router: ShardRouter,
-    shards: Vec<FleetIngest>,
-    meters_rejected: u64,
-    backlog_rejections: u64,
-}
-
-impl ShardedIngest {
-    /// A sharded router enforcing `config`'s caps globally.
-    pub fn new(shards: usize, config: IngestConfig) -> Result<Self> {
-        let router = ShardRouter::new(shards)?;
-        // Per-shard instances run uncapped — the global caps are enforced
-        // here, before delegation, so a shard can never double-reject.
-        let uncapped = config.max_meters(usize::MAX).max_buffered_bytes(usize::MAX);
-        let shards = (0..router.shards()).map(|_| FleetIngest::new(uncapped)).collect();
-        Ok(ShardedIngest { config, router, shards, meters_rejected: 0, backlog_rejections: 0 })
-    }
-
-    /// Feeds bytes received from one meter; see [`FleetIngest::ingest`].
-    pub fn ingest(
-        &mut self,
-        meter: u64,
-        bytes: &[u8],
-    ) -> Result<Vec<crate::encoder::SensorMessage>> {
-        let buffered = self.buffered_total();
-        if buffered.saturating_add(bytes.len()) > self.config.max_buffered_bytes {
-            self.backlog_rejections += 1;
-            return Err(Error::BacklogExceeded {
-                buffered,
-                incoming: bytes.len(),
-                max: self.config.max_buffered_bytes,
-            });
-        }
-        let shard = self.router.route(meter);
-        if self.shards[shard].meter(meter).is_none() && self.meter_count() >= self.config.max_meters
-        {
-            self.meters_rejected += 1;
-            return Err(Error::TooManyMeters { max: self.config.max_meters });
-        }
-        self.shards[shard].ingest(meter, bytes)
-    }
-
-    /// Distinct meters across every shard.
-    pub fn meter_count(&self) -> usize {
-        self.shards.iter().map(FleetIngest::meter_count).sum()
-    }
-
-    /// Bytes buffered across every shard (an `O(shards)` sum — each shard
-    /// tracks its own total in `O(1)`).
-    pub fn buffered_total(&self) -> usize {
-        self.shards.iter().map(FleetIngest::buffered_total).sum()
-    }
-
-    /// The shard index owning `meter`.
-    pub fn shard_of(&self, meter: u64) -> usize {
-        self.router.route(meter)
-    }
-
-    /// Counters merged across every shard, with the fleet-level rejection
-    /// counters taken from the global checks here.
-    pub fn stats(&self) -> IngestStats {
-        let mut total = IngestStats::default();
-        for s in &self.shards {
-            total.merge(&s.stats());
-        }
-        total.meters_rejected = self.meters_rejected;
-        total.backlog_rejections = self.backlog_rejections;
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -971,33 +880,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn sharded_ingest_enforces_global_caps_in_fleet_order() {
-        let cfg = IngestConfig::default().max_meters(2).max_buffered_bytes(8);
-        let mut s = ShardedIngest::new(4, cfg).unwrap();
-        // Partial frames stay buffered (a valid window tag, header cut short).
-        s.ingest(1, &[0x02, 0]).unwrap();
-        s.ingest(2, &[0x02, 0]).unwrap();
-        // Backlog check fires before the meter cap (FleetIngest order).
-        match s.ingest(3, &[0; 16]) {
-            Err(Error::BacklogExceeded { buffered, incoming, max }) => {
-                assert_eq!((buffered, incoming, max), (4, 16, 8));
-            }
-            other => panic!("expected BacklogExceeded, got {other:?}"),
-        }
-        // Small chunk from a third meter trips the global meter cap even
-        // though its shard has capacity.
-        match s.ingest(3, &[0]) {
-            Err(Error::TooManyMeters { max }) => assert_eq!(max, 2),
-            other => panic!("expected TooManyMeters, got {other:?}"),
-        }
-        // Existing meters keep flowing.
-        s.ingest(1, &[0]).unwrap();
-        let stats = s.stats();
-        assert_eq!(stats.meters_rejected, 1);
-        assert_eq!(stats.backlog_rejections, 1);
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! ±∞-adjacent values, heavy duplicates), and epoch-versioned encodings
 //! survive a store round trip — segments written under different epochs
 //! decode independently from one persisted image, byte-identically at every
-//! worker count.
+//! worker count, and keep their epochs through a durable WAL replay.
 
 use proptest::prelude::*;
+use sms_core::durable::{DurableConfig, DurableStore, FaultStorage};
 use sms_core::pipeline::CodecBuilder;
 use sms_core::segstore::SegmentStore;
 use sms_core::separators::SeparatorMethod;
@@ -193,6 +194,23 @@ fn epoch_segments_roundtrip_through_one_image_at_every_worker_count() {
                 "store image differs at {workers} workers — epochs leaked topology"
             ),
         }
+
+        // The same appends through the durable layer, recovered after a
+        // crash from the WAL alone (no checkpoint), keep their epochs.
+        let (mut durable, _) =
+            DurableStore::open(FaultStorage::new(), DurableConfig::default()).unwrap();
+        for (i, (house, _)) in fleet_pre.iter().enumerate() {
+            durable.append_epoch(*house, enc_pre.epochs[i], &enc_pre.series[i]).unwrap();
+            durable.append_epoch(*house, enc_post.epochs[i], &enc_post.series[i]).unwrap();
+        }
+        durable.commit().unwrap();
+        let crashed = durable.into_storage().crash_view();
+        let (recovered, report) = DurableStore::open(crashed, DurableConfig::default()).unwrap();
+        assert_eq!((report.generation, report.replayed), (0, 2 * HOUSES));
+        for (house, _) in &fleet_pre {
+            assert_eq!(recovered.store().house_epochs(*house), vec![0, 1], "house {house}");
+        }
+        assert_eq!(recovered.store().to_bytes(), image, "WAL replay must restore every epoch");
 
         // Round trip: both epochs decode independently from the one image.
         let mut reloaded = SegmentStore::from_bytes(&image).unwrap();

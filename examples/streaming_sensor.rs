@@ -9,11 +9,11 @@
 //! cargo run --release --example streaming_sensor
 //! ```
 
-use crossbeam::channel;
 use smart_meter_symbolics::core::encoder::{SensorMessage, SensorPipeline};
 use smart_meter_symbolics::core::lookup::SymbolSemantics;
 use smart_meter_symbolics::meterdata::generator::redd_like;
 use smart_meter_symbolics::prelude::*;
+use std::sync::mpsc;
 use std::thread;
 
 fn main() -> Result<()> {
@@ -21,7 +21,7 @@ fn main() -> Result<()> {
     let house = dataset.house(1).expect("house 1 exists").clone();
     let total_samples = house.len();
 
-    let (tx, rx) = channel::bounded::<String>(1024);
+    let (tx, rx) = mpsc::sync_channel::<String>(1024);
 
     // Sensor thread: trains for 2 days, then streams 15-minute symbols as JSON.
     let sensor = thread::spawn(move || -> Result<(usize, usize)> {

@@ -15,6 +15,14 @@ quick=0
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> sms-core builds on std alone (no normal dependencies)"
+core_deps=$(cargo tree -p sms-core -e normal --offline --prefix none)
+if [[ "$core_deps" != sms-core\ * || $(wc -l <<< "$core_deps") -ne 1 ]]; then
+    echo "sms-core must depend on std only; cargo tree printed:" >&2
+    echo "$core_deps" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 

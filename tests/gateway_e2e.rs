@@ -104,6 +104,56 @@ fn gateway_output_is_byte_identical_to_in_process_ingest_at_every_worker_count()
 }
 
 #[test]
+fn meter_cap_admits_exactly_max_meters_under_concurrent_sessions() {
+    let table = shared_table();
+    for workers in [1usize, 2, 8] {
+        let ingest = IngestConfig::default().max_meters(3);
+        let gw =
+            Gateway::start(GatewayConfig { ingest, ..GatewayConfig::default() }.workers(workers))
+                .unwrap();
+        let addr = gw.local_addr();
+        let acks: Vec<(u64, u64, u64)> = std::thread::scope(|s| {
+            let clients: Vec<_> = (0..8u64)
+                .map(|m| {
+                    let (msgs, wire) = meter_wire(&table, m, 12);
+                    s.spawn(move || {
+                        let mut conn = TcpStream::connect(addr).unwrap();
+                        conn.write_all(&encode_handshake(m, TOKEN)).unwrap();
+                        let mut ack = [0u8; 1];
+                        conn.read_exact(&mut ack).unwrap();
+                        assert_eq!(ack[0], HANDSHAKE_ACK, "meter {m} handshake");
+                        // A capped-out meter is hung up on mid-stream, so
+                        // its writes may fail; only the acks matter.
+                        let _ = conn.write_all(&wire);
+                        let _ = conn.shutdown(std::net::Shutdown::Write);
+                        let mut last = 0u64;
+                        let mut buf = [0u8; 8];
+                        while conn.read_exact(&mut buf).is_ok() {
+                            last = u64::from_le_bytes(buf);
+                        }
+                        (m, last, msgs.len() as u64)
+                    })
+                })
+                .collect();
+            clients.into_iter().map(|c| c.join().unwrap()).collect()
+        });
+        let report = gw.shutdown();
+
+        let admitted: Vec<u64> =
+            acks.iter().filter(|(_, last, _)| *last > 0).map(|(m, _, _)| *m).collect();
+        assert_eq!(admitted.len(), 3, "workers={workers}: {acks:?}");
+        for (m, last, frames) in &acks {
+            if admitted.contains(m) {
+                assert_eq!(last, frames, "workers={workers}: admitted meter {m} fully acked");
+            }
+        }
+        assert_eq!(report.output.keys().copied().collect::<Vec<_>>(), admitted);
+        assert_eq!(report.ingest.meters_rejected, 5, "workers={workers}");
+        assert_eq!(report.stats.frames_acked, 3 * acks[0].2, "workers={workers}");
+    }
+}
+
+#[test]
 fn auth_rejections_are_counted_exactly() {
     let gw = Gateway::start(GatewayConfig::default().workers(2)).unwrap();
     let addr = gw.local_addr();

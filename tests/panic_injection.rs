@@ -9,15 +9,7 @@
 use smart_meter_symbolics::core::pool::{
     run_indexed_supervised, Outcome, PoolConfig, RetryPolicy, SupervisorPolicy,
 };
-
-/// SplitMix64 — the same deterministic scramble the pool's retry jitter
-/// uses, re-derived here so the schedule needs no RNG state.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
+use smart_meter_symbolics::core::shard::splitmix64;
 
 /// How many leading attempts of job `idx` panic in iteration `iter`:
 /// 0 (clean), 1 (flaky, recoverable), or 2 (dead under 2 attempts).
